@@ -1,0 +1,7 @@
+"""Puts the benchmark's directory on sys.path for the tests."""
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(BENCH_DIR))
