@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <map>
 
 #include "apps/nemo.h"
 #include "arch/configs.h"
@@ -40,11 +41,14 @@ int main(int argc, char** argv) {
     csv = std::make_unique<CsvWriter>(
         csv_path, std::vector<std::string>{"machine", "nodes", "seconds"});
   }
+  std::map<int, double> cte_s, mn4_s;  // the sweep's times, by nodes
   for (int nodes : {1, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128, 160, 192}) {
     const auto a = apps::run_nemo(cte, nodes);
     const bool mn4_in_range = nodes <= 24;
     const auto b = mn4_in_range ? apps::run_nemo(mn4, nodes)
                                 : apps::NemoResult{};
+    cte_s[nodes] = a.total_time;
+    if (mn4_in_range) mn4_s[nodes] = b.total_time;
     table.row({std::to_string(nodes),
                a.fits_memory ? report::fixed(a.total_time, 1) : "NP",
                mn4_in_range ? report::fixed(b.total_time, 1) : "-"});
@@ -76,16 +80,13 @@ int main(int argc, char** argv) {
   std::printf("\n");
   chart.print(std::cout);
 
-  const double r8 = apps::run_nemo(cte, 8).total_time /
-                    apps::run_nemo(mn4, 8).total_time;
-  const double r24 = apps::run_nemo(cte, 24).total_time /
-                     apps::run_nemo(mn4, 24).total_time;
+  const double r8 = cte_s.at(8) / mn4_s.at(8);
+  const double r24 = cte_s.at(24) / mn4_s.at(24);
   std::printf(
       "\nheadline: MN4 is %.2fx (8 nodes) .. %.2fx (24 nodes) faster "
       "(paper: 1.70-1.79x); 48 CTE nodes = %.1f s vs 27 MN4 nodes = %.1f s "
       "(paper: equal); CTE scaling flattens near 128 nodes\n",
-      r8, r24, apps::run_nemo(cte, 48).total_time,
-      apps::run_nemo(mn4, 27).total_time);
+      r8, r24, cte_s.at(48), apps::run_nemo(mn4, 27).total_time);
 
   if (!trace_path.empty()) {
     // A dedicated traced run at NEMO's memory minimum: the many small halo

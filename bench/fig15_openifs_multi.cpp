@@ -2,6 +2,7 @@
 // CTE-Arm nodes for memory.
 #include <cstdio>
 #include <iostream>
+#include <map>
 
 #include "apps/openifs.h"
 #include "arch/configs.h"
@@ -34,9 +35,11 @@ int main(int argc, char** argv) {
     csv = std::make_unique<CsvWriter>(
         csv_path, std::vector<std::string>{"nodes", "cte_s", "mn4_s"});
   }
+  std::map<int, double> slowdown_at;  // CTE/MN4 s/day, by nodes
   for (int nodes : {8, 16, 32, 48, 64, 96, 128}) {
     const auto a = apps::run_openifs_nodes(cte, nodes, config);
     const auto b = apps::run_openifs_nodes(mn4, nodes, config);
+    slowdown_at[nodes] = a.seconds_per_day / b.seconds_per_day;
     table.row(
         {std::to_string(nodes),
          a.fits_memory ? report::fixed(a.seconds_per_day, 2) : "NP",
@@ -68,12 +71,8 @@ int main(int argc, char** argv) {
   std::printf("\n");
   chart.print(std::cout);
 
-  const double r32 =
-      apps::run_openifs_nodes(cte, 32, config).seconds_per_day /
-      apps::run_openifs_nodes(mn4, 32, config).seconds_per_day;
-  const double r128 =
-      apps::run_openifs_nodes(cte, 128, config).seconds_per_day /
-      apps::run_openifs_nodes(mn4, 128, config).seconds_per_day;
+  const double r32 = slowdown_at.at(32);
+  const double r128 = slowdown_at.at(128);
   std::printf(
       "\nheadline: @32 nodes %.2fx slower (paper 3.55x); @128 nodes %.2fx "
       "(paper 2.56x)\n",

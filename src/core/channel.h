@@ -5,16 +5,83 @@
 // is available. A push with receivers waiting hands the value directly to
 // the oldest waiter, so a later receiver can never steal an item from an
 // earlier one — wakeup order is FIFO and deterministic.
+//
+// A channel that never carries anything costs its own few words: both
+// queues are lazy ring buffers (see Fifo). simmpi keeps one channel per
+// (destination, source, tag), so this is what bounds its memory.
 #pragma once
 
 #include <coroutine>
-#include <deque>
+#include <cstddef>
+#include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "core/engine.h"
 
 namespace ctesim::sim {
+
+/// Ring-buffer FIFO. Allocates nothing until the first push and keeps its
+/// buffer when drained; it grows by doubling only when full, so capacity
+/// stays below twice the peak occupancy (or kMinCapacity), however many
+/// values pass through a queue that never drains.
+template <typename T>
+class Fifo {
+  static_assert(std::is_nothrow_move_constructible_v<T>,
+                "growth relocates values and must not throw midway");
+
+ public:
+  static constexpr std::size_t kMinCapacity = 2;
+
+  Fifo() = default;
+  Fifo(const Fifo&) = delete;
+  Fifo& operator=(const Fifo&) = delete;
+  ~Fifo() {
+    while (!empty()) pop_front();
+    if (slots_) std::allocator<T>().deallocate(slots_, capacity_);
+  }
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  std::size_t capacity() const { return capacity_; }
+
+  T& front() { return slots_[head_]; }
+
+  void push_back(T value) {
+    if (size_ == capacity_) grow();
+    std::construct_at(slots_ + ((head_ + size_) & (capacity_ - 1)),
+                      std::move(value));
+    ++size_;
+  }
+
+  void pop_front() {
+    std::destroy_at(slots_ + head_);
+    head_ = (head_ + 1) & (capacity_ - 1);
+    --size_;
+  }
+
+ private:
+  // Capacity is a power of two, so wrapping is a mask.
+  void grow() {
+    const std::size_t capacity = capacity_ == 0 ? kMinCapacity : 2 * capacity_;
+    T* slots = std::allocator<T>().allocate(capacity);
+    for (std::size_t i = 0; i < size_; ++i) {
+      T& from = slots_[(head_ + i) & (capacity_ - 1)];
+      std::construct_at(slots + i, std::move(from));
+      std::destroy_at(&from);
+    }
+    if (slots_) std::allocator<T>().deallocate(slots_, capacity_);
+    slots_ = slots;
+    capacity_ = capacity;
+    head_ = 0;
+  }
+
+  T* slots_ = nullptr;
+  std::size_t capacity_ = 0;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
 
 template <typename T>
 class Channel {
@@ -43,6 +110,8 @@ class Channel {
   bool empty() const { return items_.empty(); }
   std::size_t size() const { return items_.size(); }
   std::size_t waiting_receivers() const { return waiters_.size(); }
+  /// Slots allocated for queued values (0 until the first is queued).
+  std::size_t capacity() const { return items_.capacity(); }
 
   /// Awaitable receive: `T v = co_await channel.pop();`
   auto pop() {
@@ -79,8 +148,8 @@ class Channel {
   };
 
   Engine* engine_;
-  std::deque<T> items_;
-  std::deque<Waiter*> waiters_;
+  Fifo<T> items_;
+  Fifo<Waiter*> waiters_;
 };
 
 }  // namespace ctesim::sim

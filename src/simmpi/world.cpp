@@ -47,11 +47,21 @@ sim::Task<> run_rank(World::RankFn body, Rank* rank) {
 Group::Group(std::vector<int> members, int context)
     : members_(std::move(members)), context_(context) {
   CTESIM_EXPECTS(!members_.empty());
+  index_.reserve(members_.size());
   for (int v = 0; v < size(); ++v) {
-    const bool inserted =
-        index_.emplace(members_[static_cast<std::size_t>(v)], v).second;
-    CTESIM_EXPECTS(inserted);  // members must be distinct
+    index_.emplace_back(members_[static_cast<std::size_t>(v)], v);
   }
+  std::sort(index_.begin(), index_.end());
+  for (std::size_t i = 1; i < index_.size(); ++i) {
+    CTESIM_EXPECTS(index_[i - 1].first != index_[i].first);  // distinct
+  }
+}
+
+int Group::vrank_of(int global_rank) const {
+  const auto it = std::lower_bound(
+      index_.begin(), index_.end(), global_rank,
+      [](const std::pair<int, int>& e, int rank) { return e.first < rank; });
+  return it != index_.end() && it->first == global_rank ? it->second : -1;
 }
 
 World::World(WorldOptions options, Placement placement)
@@ -72,7 +82,7 @@ World::World(WorldOptions options, Placement placement)
   std::vector<int> everyone(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
     jitter_.push_back(root.split());
-    ranks_.emplace_back(new Rank(*this, r));
+    ranks_.push_back(Rank(*this, r));
     everyone[static_cast<std::size_t>(r)] = r;
   }
   world_group_.reset(new Group(std::move(everyone), /*context=*/0));
@@ -113,12 +123,13 @@ sim::Channel<Message>& World::mailbox(int dst, int src, int tag) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(src) << 24) | static_cast<std::uint64_t>(tag);
   auto& box = mailboxes_[static_cast<std::size_t>(dst)];
-  auto it = box.find(key);
-  if (it == box.end()) {
-    it = box.emplace(key, std::make_unique<sim::Channel<Message>>(engine_))
-             .first;
+  auto it = std::lower_bound(
+      box.begin(), box.end(), key,
+      [](const MailboxEntry& e, std::uint64_t k) { return e.key < k; });
+  if (it == box.end() || it->key != key) {
+    it = box.insert(it, MailboxEntry{key, &channels_.emplace_back(engine_)});
   }
-  return *it->second;
+  return *it->channel;
 }
 
 void World::record(int rank, sim::Time start, sim::Time end, const char* kind,
@@ -132,7 +143,7 @@ double World::run(const RankFn& body) {
   CTESIM_EXPECTS(!ran_);
   ran_ = true;
   for (auto& rank : ranks_) {
-    engine_.spawn(run_rank(body, rank.get()));
+    engine_.spawn(run_rank(body, &rank));
   }
   engine_.run();
   if (engine_.unfinished_processes() != 0) {

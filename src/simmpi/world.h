@@ -8,13 +8,14 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "arch/configs.h"
@@ -49,10 +50,7 @@ class Group {
     return members_[static_cast<std::size_t>(vrank)];
   }
   /// Position of a global rank in the group, -1 if absent.
-  int vrank_of(int global_rank) const {
-    auto it = index_.find(global_rank);
-    return it == index_.end() ? -1 : it->second;
-  }
+  int vrank_of(int global_rank) const;
   bool contains(int global_rank) const { return vrank_of(global_rank) >= 0; }
   int context() const { return context_; }
 
@@ -61,9 +59,8 @@ class Group {
   Group(std::vector<int> members, int context);
 
   std::vector<int> members_;
-  // Lookup-only reverse index (never iterated): hash order cannot reach
-  // simulation results. Ordered iteration happens over members_.
-  std::unordered_map<int, int> index_;
+  // Reverse index: (global rank, vrank), sorted by global rank.
+  std::vector<std::pair<int, int>> index_;
   int context_;
 };
 
@@ -172,12 +169,19 @@ class World {
   net::Network network_;
   roofline::ExecModel exec_;
   sim::Engine engine_;
-  std::vector<std::unique_ptr<Rank>> ranks_;
-  // One mailbox map per destination rank, keyed by (src, tag). Lookup-only
-  // (never iterated), so hash order cannot perturb message delivery.
-  std::vector<std::unordered_map<std::uint64_t,
-                                 std::unique_ptr<sim::Channel<Message>>>>
-      mailboxes_;
+  std::vector<Rank> ranks_;  // sized once; rank bodies hold Rank&
+  // Point-to-point matching: one FIFO channel per (dst, src, tag), created
+  // on first use. mailboxes_[dst] lists the (src << 24 | tag) keys that dst
+  // has seen, sorted by key; a destination sees a few (halo neighbours,
+  // log2(P) collective partners), an alltoall member up to P.
+  struct MailboxEntry {
+    std::uint64_t key;
+    sim::Channel<Message>* channel;
+  };
+  std::vector<std::vector<MailboxEntry>> mailboxes_;
+  // The channels themselves. A deque never relocates its elements, and a
+  // suspended receiver holds its Channel& and a Waiter* queued inside it.
+  std::deque<sim::Channel<Message>> channels_;
   std::vector<Rng> jitter_;
   std::map<std::string, std::vector<double>> phase_times_;
   std::unique_ptr<Group> world_group_;

@@ -62,9 +62,16 @@ class Parser {
     skip_ws();
     switch (peek()) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        // Bounded before recursing: a deep line must not overflow the
+        // stack of the server thread parsing it.
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        Value v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Value v;
         v.type = Value::Type::kString;
@@ -247,6 +254,7 @@ class Parser {
   }
 
   std::string_view text_;
+  int depth_ = 0;  ///< arrays/objects open around the current value
   std::size_t pos_ = 0;
 };
 

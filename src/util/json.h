@@ -30,8 +30,13 @@ struct Value {
   const Value* find(const std::string& key) const;
 };
 
+/// Deepest array/object nesting parse() accepts. The parser recurses once
+/// per level, and the server parses untrusted lines on worker threads.
+inline constexpr int kMaxDepth = 256;
+
 /// Parse one JSON document (value + optional trailing whitespace). Throws
-/// std::runtime_error with a byte offset on malformed input.
+/// std::runtime_error with a byte offset on malformed input, including
+/// nesting deeper than kMaxDepth.
 Value parse(std::string_view text);
 
 /// Escape `s` for embedding inside a JSON string literal (no quotes added).

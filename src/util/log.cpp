@@ -1,12 +1,15 @@
 #include "util/log.h"
 
+#include <atomic>
 #include <cstdio>
 #include <string>
 
 namespace ctesim::log {
 
 namespace {
-Level g_threshold = Level::kWarn;
+// Relaxed: the threshold guards no other data, and a worker that sees a
+// change one message late logs or drops that one message.
+std::atomic<Level> g_threshold{Level::kWarn};
 
 const char* level_name(Level level) {
   switch (level) {
@@ -25,12 +28,14 @@ const char* level_name(Level level) {
 }
 }  // namespace
 
-Level threshold() { return g_threshold; }
+Level threshold() { return g_threshold.load(std::memory_order_relaxed); }
 
-void set_threshold(Level level) { g_threshold = level; }
+void set_threshold(Level level) {
+  g_threshold.store(level, std::memory_order_relaxed);
+}
 
 void emit(Level level, std::string_view msg) {
-  if (level < g_threshold) return;
+  if (level < threshold()) return;
   std::string line(msg);
   std::fprintf(stderr, "[ctesim %-5s] %s\n", level_name(level), line.c_str());
 }

@@ -1,5 +1,9 @@
-// Minimal leveled logger. Single-threaded by design: the simulator runs all
-// actors on one host thread (discrete-event model), so no locking is needed.
+// Minimal leveled logger, safe to call from several threads at once: the
+// server's workers run simulations concurrently and log from them. The
+// threshold is a relaxed atomic, and each line goes out in one fprintf
+// call, which stdio locks, so concurrent lines never interleave within a
+// line; their order across threads is unspecified. A single simulation
+// still runs all its actors on one host thread.
 #pragma once
 
 #include <sstream>

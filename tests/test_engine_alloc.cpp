@@ -7,7 +7,9 @@
 //
 // Also home of the incremental-reaping regression test: 100k short
 // processes through one engine must keep the tracked-process table O(live),
-// not O(ever spawned).
+// not O(ever spawned); and of the Channel checks: constructing one costs no
+// allocation (simmpi makes one per (dst, src, tag)), and neither does
+// steady-state traffic once its buffers are warm.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +17,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/channel.h"
 #include "core/engine.h"
 #include "core/frame_pool.h"
 #include "core/task.h"
@@ -137,6 +140,78 @@ TEST(EngineAlloc, FramePoolRecyclesAcrossEngines) {
       << "second wave should not have needed any fresh blocks";
   EXPECT_EQ(reused.live, warm.live)
       << "all frames must be returned once their engine is gone";
+}
+
+TEST(EngineAlloc, ChannelConstructionIsAllocationFree) {
+  Engine engine;
+  const auto before = allocations();
+  {
+    Channel<std::uint64_t> channel(engine);
+    EXPECT_TRUE(channel.empty());
+    EXPECT_EQ(channel.capacity(), 0u);
+  }
+  EXPECT_EQ(allocations() - before, 0u)
+      << "an unused channel must not allocate its queues";
+}
+
+// Measures the allocations of `rounds` push/push/pop/pop cycles on a
+// channel whose buffer an earlier burst of pushes has sized and whose
+// queue is empty again.
+Task<> push_pop_cycles(Channel<int>& channel, int rounds,
+                       std::uint64_t* allocated, int* sum) {
+  for (int i = 0; i < 4; ++i) channel.push(i);
+  for (int i = 0; i < 4; ++i) *sum += co_await channel.pop();
+  const auto before = allocations();
+  for (int round = 0; round < rounds; ++round) {
+    channel.push(round);
+    channel.push(round);
+    *sum += co_await channel.pop();
+    *sum += co_await channel.pop();
+  }
+  *allocated = allocations() - before;
+}
+
+TEST(EngineAlloc, WarmDrainedChannelPushPopIsAllocationFree) {
+  Engine engine;
+  Channel<int> channel(engine);
+  std::uint64_t allocated = ~0ull;
+  int sum = 0;
+  engine.spawn(push_pop_cycles(channel, 1000, &allocated, &sum));
+  engine.run();
+  EXPECT_EQ(allocated, 0u) << "push/pop on a warm channel allocated";
+  EXPECT_EQ(sum, 6 + 2 * (999 * 1000 / 2));
+  EXPECT_TRUE(channel.empty());
+}
+
+// The waiting-receiver path: a consumer blocks in pop() before each value
+// arrives, so every push hands over to a waiter and schedules its resume.
+// Allocations are counted from the producer's side once both queues and
+// the event queue have been through warm-up rounds.
+Task<> blocking_consumer(Channel<int>& channel, int count, int* sum) {
+  for (int i = 0; i < count; ++i) *sum += co_await channel.pop();
+}
+
+Task<> delayed_producer(Engine& engine, Channel<int>& channel, int count,
+                        int warmup, std::uint64_t* allocated) {
+  std::uint64_t before = 0;
+  for (int i = 0; i < count; ++i) {
+    if (i == warmup) before = allocations();
+    co_await engine.delay(1);
+    channel.push(1);
+  }
+  *allocated = allocations() - before;
+}
+
+TEST(EngineAlloc, HandoffToWaitingReceiverIsAllocationFree) {
+  Engine engine;
+  Channel<int> channel(engine);
+  std::uint64_t allocated = ~0ull;
+  int sum = 0;
+  engine.spawn(blocking_consumer(channel, 1000, &sum));
+  engine.spawn(delayed_producer(engine, channel, 1000, 8, &allocated));
+  engine.run();
+  EXPECT_EQ(allocated, 0u) << "handing values to a waiter allocated";
+  EXPECT_EQ(sum, 1000);
 }
 
 Task<> spawner(Engine& engine, int total, std::uint64_t* acc,

@@ -1,6 +1,9 @@
 // Tests for the logging facility.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "util/log.h"
 
 namespace ctesim::log {
@@ -49,6 +52,23 @@ TEST_F(LogTest, LevelOrderingIsMonotone) {
   EXPECT_LT(Level::kInfo, Level::kWarn);
   EXPECT_LT(Level::kWarn, Level::kError);
   EXPECT_LT(Level::kError, Level::kOff);
+}
+
+TEST_F(LogTest, ThresholdIsSafeAcrossThreads) {
+  // Server workers log from concurrent simulations while the threshold can
+  // change; under the TSan preset a plain global here is a reported race.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([t] {
+      for (int i = 0; i < 1000; ++i) {
+        set_threshold(t % 2 == 0 ? Level::kOff : Level::kError);
+        CTESIM_WARN << "filtered " << i;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  const Level last = threshold();
+  EXPECT_TRUE(last == Level::kOff || last == Level::kError);
 }
 
 }  // namespace

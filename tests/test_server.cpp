@@ -504,5 +504,24 @@ TEST(Tcp, OversizedLineGetsTypedError) {
   service.shutdown();
 }
 
+TEST(Tcp, DeeplyNestedLineGetsBadRequestAndServerKeepsServing) {
+  // Regression: the JSON parser recursed once per '[' with no limit, so
+  // one 40,000-byte line (under max_line_bytes) overflowed the stack of
+  // the thread parsing it and killed the daemon.
+  Service service(small_config());
+  TcpServer tcp(service, TcpOptions{});
+  tcp.start();
+  Client client("127.0.0.1", tcp.port());
+  EXPECT_TRUE(is_error(client.request(std::string(40000, '[')),
+                       "bad_request"));
+  EXPECT_EQ(client.request("{\"op\":\"ping\"}"),
+            "{\"op\":\"ping\",\"status\":\"ok\"}");
+  Client other("127.0.0.1", tcp.port());
+  EXPECT_EQ(other.request("{\"op\":\"ping\"}"),
+            "{\"op\":\"ping\",\"status\":\"ok\"}");
+  tcp.stop();
+  service.shutdown();
+}
+
 }  // namespace
 }  // namespace ctesim::server

@@ -163,6 +163,30 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(json::parse("nul"), std::runtime_error);
 }
 
+TEST(Json, NestingIsBoundedByMaxDepth) {
+  const auto nested = [](int depth, char open, char close) {
+    return std::string(static_cast<std::size_t>(depth), open) +
+           std::string(static_cast<std::size_t>(depth), close);
+  };
+  EXPECT_NO_THROW(json::parse(nested(json::kMaxDepth, '[', ']')));
+  EXPECT_THROW(json::parse(nested(json::kMaxDepth + 1, '[', ']')),
+               std::runtime_error);
+  std::string objects;
+  for (int i = 0; i <= json::kMaxDepth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(json::kMaxDepth + 1, '}');
+  EXPECT_THROW(json::parse(objects), std::runtime_error);
+  // Unterminated and far too deep: rejected at the limit, long before
+  // the recursion could exhaust a thread stack.
+  try {
+    json::parse(std::string(40000, '['));
+    ADD_FAILURE() << "40,000 nested arrays parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // A small batch workload used by the export tests: real scheduler, real
 // placement, recorded end to end.
 batch::ClusterResult traced_cluster(Recorder* rec) {
