@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
 
   const auto machine = arch::cte_arm();
   net::Network network(machine.interconnect, machine.num_nodes);
-  network.set_recv_degradation(arch::calib::kWeakNodeIndex,
+  network.add_recv_degradation(arch::calib::kWeakNodeIndex,
                                arch::calib::kWeakNodeRecvFactor);
 
   const int n = machine.num_nodes;

@@ -2,20 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <map>
-#include <set>
+#include <cstddef>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
-#include "core/time.h"
 #include "fault/validate.h"
 #include "io/filesystem.h"
 #include "power/attribution.h"
 #include "trace/recorder.h"
 #include "util/check.h"
 #include "util/log.h"
+#include "util/time.h"
 
 namespace ctesim::batch {
 
@@ -33,20 +33,6 @@ std::uint64_t placement_seed(std::uint64_t seed, int job_id, int attempt) {
   return z ^ (z >> 31);
 }
 
-/// Per-job state that survives across attempts (requeues).
-struct JobState {
-  int attempts_started = 0;
-  int interruptions = 0;
-  double done_fraction = 0.0;  ///< checkpoint-preserved share of the work
-  double first_start_s = 0.0;
-  bool ever_started = false;
-  double busy_node_s = 0.0;
-  double useful_node_s = 0.0;
-  double wasted_node_s = 0.0;
-  double energy_j = 0.0;         ///< all attempts (power layer on)
-  double wasted_energy_j = 0.0;  ///< killed / unpreserved share of energy_j
-};
-
 /// One attempt of one job, currently holding nodes.
 struct Attempt {
   Job job;
@@ -62,7 +48,8 @@ struct Attempt {
   double rate = 1.0;  ///< progress per wall second (degradation slows it)
   bool restarting = false;
   fault::CheckpointCost ckpt;
-  std::uint64_t epoch = 0;  ///< invalidates stale completion events
+  std::uint64_t epoch = 0;  ///< voids stale end events; 0 once ended
+  bool killed = false;      ///< the scheduled end is a wall-time kill
   /// Per-node power draw, constant for the attempt (power layer on).
   /// Degradation stretches the attempt in time but not in watts, so the
   /// cluster draw never rises after a start — the allocation-time cap
@@ -71,14 +58,24 @@ struct Attempt {
   double freq_scale = 1.0;  ///< DVFS point this attempt runs at
 };
 
-}  // namespace
+/// Everything the run knows about one job, kept at the job's position in
+/// the input stream. `record` accumulates the all-attempt fields (attempts,
+/// interruptions, node-seconds, energy) as attempts end; finalize() stamps
+/// the final attempt's placement and end onto it.
+struct Slot {
+  JobRecord record;
+  Attempt attempt;             ///< the live or last attempt
+  double done_fraction = 0.0;  ///< checkpoint-preserved share of the work
+};
 
-ClusterResult run_cluster(const RuntimeModel& model,
-                          const std::vector<Job>& jobs,
-                          const ClusterOptions& options) {
+void validate(const RuntimeModel& model, const std::vector<Job>& jobs,
+              const ClusterOptions& options) {
   const int total_nodes = model.machine().num_nodes;
   for (const Job& job : jobs) {
     CTESIM_EXPECTS(job.nodes >= 1 && job.nodes <= total_nodes);
+    CTESIM_EXPECTS(std::isfinite(job.arrival_s) &&
+                   std::isfinite(job.walltime_s) &&
+                   std::isfinite(job.fixed_runtime_s));
     CTESIM_EXPECTS(job.arrival_s >= 0.0 && job.walltime_s > 0.0);
   }
   CTESIM_EXPECTS(options.max_retries >= 0);
@@ -92,542 +89,541 @@ ClusterResult run_cluster(const RuntimeModel& model,
   // A cap (and cap-driven downclocking) is meaningless without coefficients.
   CTESIM_EXPECTS(options.power_cap_w <= 0.0 || options.power != nullptr);
   CTESIM_EXPECTS(!options.dvfs_backfill || options.power != nullptr);
+}
 
-  sim::Engine engine;
-  sched::Allocator allocator(model.topology());
-  JobQueue queue(options.queue, total_nodes);
-  const io::FilesystemModel fs = io::production_filesystem(model.machine());
+/// One run of the cluster over dense state: per-job slots, per-node holder
+/// and degradation tables. Event callbacks capture `this` plus a slot or
+/// fault index (and an epoch), nothing else.
+class ClusterSim {
+ public:
+  ClusterSim(const RuntimeModel& model, const std::vector<Job>& jobs,
+             const ClusterOptions& options)
+      : model_(model), jobs_(jobs), options_(options), slots_(jobs.size()) {
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      slots_[i].record.job = jobs[i];
+      slots_[i].record.attempts = 0;
+      index_.emplace_back(jobs[i].id, static_cast<int>(i));
+    }
+    std::sort(index_.begin(), index_.end());
+    for (std::size_t i = 1; i < index_.size(); ++i) {
+      CTESIM_EXPECTS(index_[i - 1].first != index_[i].first);  // unique ids
+    }
+    holder_.assign(static_cast<std::size_t>(total_nodes_), -1);
+    degradations_.resize(holder_.size());
+    if (rec_) engine_.set_recorder(rec_);
+  }
 
-  std::map<int, Attempt> running;        // job id -> live attempt
-  std::map<int, JobState> job_states;    // job id -> cross-attempt state
-  std::map<int, std::vector<double>> active_degradations;  // node -> factors
-  std::set<int> down_nodes;
-  std::uint64_t next_epoch = 0;
-  double total_wasted_node_s = 0.0;
-  int total_interruptions = 0;
-  ClusterResult result;
-  result.records.reserve(jobs.size());
+  // Engine callbacks hold `this`.
+  ClusterSim(const ClusterSim&) = delete;
+  ClusterSim& operator=(const ClusterSim&) = delete;
 
-  trace::Recorder* rec = options.recorder;
-  const bool tracing = rec && rec->enabled();
-  if (tracing) engine.set_recorder(rec);
+  ClusterResult run() {
+    // Arrivals first, then faults: engine ties break by insertion order.
+    for (std::size_t i = 0; i < jobs_.size(); ++i) {
+      engine_.schedule_at(sim::from_seconds(jobs_[i].arrival_s),
+                          [this, slot = static_cast<int>(i)] {
+                            enqueue(slot, false);
+                          });
+    }
+    if (options_.faults) {
+      const auto& events = options_.faults->events();
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        engine_.schedule_at(sim::from_seconds(events[i].time_s),
+                            [this, i] { on_fault(i); });
+      }
+    }
+    engine_.run();
+    result_.engine_events = engine_.events_processed();
+    CTESIM_ENSURES(running_.empty());
+    finish();
+    return std::move(result_);
+  }
 
-  const auto now_s = [&] { return sim::to_seconds(engine.now()); };
+ private:
+  double now_s() const { return sim::to_seconds(engine_.now()); }
+  Slot& at(int slot) { return slots_[static_cast<std::size_t>(slot)]; }
 
-  // --- energy accounting ----------------------------------------------
+  int slot_of(int job_id) const {
+    const auto it = std::lower_bound(index_.begin(), index_.end(),
+                                     std::pair<int, int>(job_id, -1));
+    CTESIM_ENSURES(it != index_.end() && it->first == job_id);
+    return it->second;
+  }
+
+  // --- energy accounting ------------------------------------------------
   // The cluster draw is piecewise constant between events: running
   // attempts each contribute a constant per-node draw, every in-service
   // unallocated node draws the idle floor, drained nodes draw nothing.
   // advance_energy() integrates the standing draw up to `now` and must run
   // before any power-affecting state change (start, end, fail, repair);
   // repeated calls at one timestamp are no-ops.
-  const power::PowerModel* pm = options.power;
-  const bool powered = pm != nullptr;
-  const double idle_node_w =
-      powered ? pm->node_idle(model.machine().node).value() : 0.0;
-  double cluster_cpu_w = 0.0;
-  double cluster_mem_w = 0.0;
-  double cluster_net_w = 0.0;
-  double last_power_t = 0.0;
-  EnergyTotals energy;
 
-  const auto cluster_draw_w = [&] {
-    return cluster_cpu_w + cluster_mem_w + cluster_net_w +
-           allocator.free_nodes() * idle_node_w;
-  };
+  double cluster_draw_w() const {
+    return cluster_cpu_w_ + cluster_mem_w_ + cluster_net_w_ +
+           allocator_.free_nodes() * idle_node_w_;
+  }
 
-  const auto advance_energy = [&] {
-    if (!powered) return;
+  void advance_energy() {
+    if (!pm_) return;
     const double t = now_s();
-    const double dt = t - last_power_t;
+    const double dt = t - last_power_t_;
     if (dt > 0.0) {
-      energy.cpu_j += cluster_cpu_w * dt;
-      energy.mem_j += cluster_mem_w * dt;
-      energy.net_j += cluster_net_w * dt;
-      energy.idle_j += allocator.free_nodes() * idle_node_w * dt;
+      energy_.cpu_j += cluster_cpu_w_ * dt;
+      energy_.mem_j += cluster_mem_w_ * dt;
+      energy_.net_j += cluster_net_w_ * dt;
+      energy_.idle_j += allocator_.free_nodes() * idle_node_w_ * dt;
     }
-    last_power_t = t;
-  };
+    last_power_t_ = t;
+  }
 
-  const auto add_draw = [&](const Attempt& a) {
-    if (!powered) return;
-    cluster_cpu_w += a.job.nodes * a.draw.cpu_w.value();
-    cluster_mem_w += a.job.nodes * a.draw.mem_w.value();
-    cluster_net_w += a.job.nodes * a.draw.net_w.value();
-  };
-
-  const auto remove_draw = [&](const Attempt& a) {
-    if (!powered) return;
-    cluster_cpu_w -= a.job.nodes * a.draw.cpu_w.value();
-    cluster_mem_w -= a.job.nodes * a.draw.mem_w.value();
-    cluster_net_w -= a.job.nodes * a.draw.net_w.value();
-  };
-
-  const auto sample = [&] {
-    const int busy = total_nodes - allocator.free_nodes() -
-                     allocator.drained_count();
-    const double power_w = powered ? cluster_draw_w() : 0.0;
-    if (powered) energy.peak_w = std::max(energy.peak_w, power_w);
-    result.frag_timeline.push_back({now_s(), allocator.fragmentation(), busy,
-                                    allocator.drained_count(), power_w});
-    if (tracing) {
-      const auto track = trace::Track::global();
-      const sim::Time now = engine.now();
-      rec->counter(track, "batch", "queue_depth", now,
-                   static_cast<double>(queue.size()));
-      rec->counter(track, "batch", "busy_nodes", now,
-                   static_cast<double>(busy));
-      rec->counter(track, "batch", "utilization", now,
-                   static_cast<double>(busy) / total_nodes);
-      rec->counter(track, "batch", "fragmentation", now,
-                   allocator.fragmentation());
-      rec->counter(track, "batch", "running_jobs", now,
-                   static_cast<double>(running.size()));
-      rec->counter(track, "fault", "down_nodes", now,
-                   static_cast<double>(down_nodes.size()));
-      rec->counter(track, "fault", "wasted_work", now, total_wasted_node_s);
-      rec->counter(track, "fault", "interrupted_jobs", now,
-                   static_cast<double>(total_interruptions));
-      if (powered) {
-        rec->counter(track, "power", "cluster_watts", now, power_w);
-        rec->counter(track, "power", "energy_j", now,
-                     energy.cpu_j + energy.mem_j + energy.net_j +
-                         energy.idle_j);
-        rec->counter(track, "power", "capped_jobs", now,
-                     static_cast<double>(energy.capped_starts));
-      }
-    }
-  };
-
-  /// Combined receive-degradation factor over an allocation (1 = healthy).
-  const auto combined_factor = [&](const std::vector<int>& nodes) {
-    double factor = 1.0;
-    for (const int n : nodes) {
-      const auto it = active_degradations.find(n);
-      if (it == active_degradations.end()) continue;
-      for (const double f : it->second) factor *= f;
-    }
-    return factor;
-  };
-
-  /// Progress rate of an attempt: degradation inflates the communication
-  /// share of the runtime, exactly like placement scatter does.
-  const auto rate_for = [&](const Attempt& a) {
-    const double f = combined_factor(a.nodes);
-    if (f >= 1.0) return 1.0;
-    const double cf = a.job.profile.comm_fraction;
-    return 1.0 / (1.0 + cf * (1.0 / f - 1.0));
-  };
-
-  const auto accrue = [&](Attempt& a) {
-    const double t = now_s();
-    a.eff_done_s =
-        std::min(a.eff_required_s, a.eff_done_s + a.rate * (t - a.last_update_s));
-    a.last_update_s = t;
-  };
-
-  const auto finalize = [&](const Attempt& a, EndReason reason,
-                            double end_s) {
-    const JobState& st = job_states[a.job.id];
-    JobRecord record;
-    record.job = a.job;
-    record.start_s = a.start_s;
-    record.end_s = end_s;
-    record.alloc_nodes = a.nodes;
-    record.mean_hops = a.mean_hops;
-    record.placement_slowdown = a.placement_slowdown;
-    record.end_reason = reason;
-    record.attempts = st.attempts_started;
-    record.interruptions = st.interruptions;
-    record.first_start_s = st.first_start_s;
-    record.busy_node_s = st.busy_node_s;
-    record.useful_node_s = st.useful_node_s;
-    record.wasted_node_s = st.wasted_node_s;
-    record.energy_j = st.energy_j;
-    record.wasted_energy_j = st.wasted_energy_j;
-    record.dvfs_freq_scale = a.freq_scale;
-    result.records.push_back(record);
-  };
-
-  std::function<void()> try_start;
-
-  /// Schedule (or re-schedule after a rate change) the end of an attempt:
-  /// completion when the remaining progress fits the wall-time budget, a
-  /// wall-time kill otherwise. Stale events are voided by the epoch.
-  const auto schedule_attempt_end = [&](Attempt& a) {
-    a.epoch = ++next_epoch;
-    const double t = now_s();
-    const double remaining = (a.eff_required_s - a.eff_done_s) / a.rate;
-    // (start - t) + walltime, not (start + walltime) - t: at t == start the
-    // former is exactly the wall-time request, bit-for-bit.
-    const double until_kill = (a.start_s - t) + a.job.walltime_s;
-    const bool killed = remaining > until_kill;
-    engine.schedule_in(
-        sim::from_seconds(std::max(0.0, killed ? until_kill : remaining)),
-        [&, id = a.job.id, epoch = a.epoch, killed] {
-          const auto it = running.find(id);
-          if (it == running.end() || it->second.epoch != epoch) return;
-          Attempt& att = it->second;
-          advance_energy();
-          accrue(att);
-          JobState& st = job_states[id];
-          const double end = now_s();
-          const double elapsed = end - att.start_s;
-          st.busy_node_s += elapsed * att.job.nodes;
-          if (powered) {
-            const double attempt_j =
-                att.job.nodes * att.draw.total().value() * elapsed;
-            st.energy_j += attempt_j;
-            if (killed) {
-              st.wasted_energy_j += attempt_j;
-              energy.wasted_j += attempt_j;
-            }
-          }
-          if (killed) {
-            st.wasted_node_s += elapsed * att.job.nodes;
-            total_wasted_node_s += elapsed * att.job.nodes;
-            CTESIM_WARN << "batch: job " << id << " wall-time killed at "
-                        << att.job.walltime_s << " s (needed "
-                        << att.eff_required_s << " s, overran its request by "
-                        << 100.0 * (att.eff_required_s / att.job.walltime_s -
-                                    1.0)
-                        << "%)";
-          } else {
-            st.useful_node_s += att.work_s * att.job.nodes;
-          }
-          if (tracing) {
-            const auto track = trace::Track::job(id);
-            rec->end(track, engine.now());  // closes the "run" span
-            rec->instant(track, "batch", killed ? "killed" : "finish", "",
-                         engine.now());
-          }
-          finalize(att, killed ? EndReason::kWalltimeKilled
-                               : EndReason::kCompleted,
-                   end);
-          remove_draw(att);
-          allocator.release(static_cast<std::uint64_t>(id));
-          running.erase(it);
-          sample();
-          try_start();
-        });
-  };
+  /// Add (`sign` = +1) or remove (-1) an attempt's draw from the cluster.
+  void shift_draw(const Attempt& a, int sign) {
+    cluster_cpu_w_ += sign * (a.job.nodes * a.draw.cpu_w.value());
+    cluster_mem_w_ += sign * (a.job.nodes * a.draw.mem_w.value());
+    cluster_net_w_ += sign * (a.job.nodes * a.draw.net_w.value());
+  }
 
   /// Would starting `job` at DVFS state `s` keep the cluster under the
   /// power cap? Estimated with the compact reference runtime — placement
   /// scatter only stretches the actual runtime, which can only *lower* the
   /// traffic-rate (memory) draw, so the estimate is an upper bound and the
   /// cap holds for whatever allocation the job ends up with.
-  const auto fits_cap = [&](const Job& job, const power::DvfsState& s) {
-    const double est_runtime =
-        model.reference_runtime(job, s.freq_scale);
+  bool fits_cap(const Job& job, const power::DvfsState& s) const {
+    const double est_runtime = model_.reference_runtime(job, s.freq_scale);
     const power::JobDraw d = power::job_draw(
-        model.machine().node, *pm, s, model.traffic_bytes_per_node(job),
+        model_.machine().node, *pm_, s, model_.traffic_bytes_per_node(job),
         est_runtime, job.profile.comm_fraction);
     // The job's nodes stop drawing the idle floor when they go busy.
-    const double delta_w = job.nodes * (d.total().value() - idle_node_w);
-    return cluster_draw_w() + delta_w <= options.power_cap_w;
-  };
+    const double delta_w = job.nodes * (d.total().value() - idle_node_w_);
+    return cluster_draw_w() + delta_w <= options_.power_cap_w;
+  }
 
-  try_start = [&] {
+  /// Record the machine state (and, when tracing, every counter).
+  void sample() {
+    const int busy = total_nodes_ - allocator_.free_nodes() -
+                     allocator_.drained_count();
+    const double power_w = pm_ ? cluster_draw_w() : 0.0;
+    if (pm_) energy_.peak_w = std::max(energy_.peak_w, power_w);
+    result_.frag_timeline.push_back({now_s(), allocator_.fragmentation(),
+                                     busy, allocator_.drained_count(),
+                                     power_w});
+    if (!rec_) return;
+    counter("batch", "queue_depth", static_cast<double>(queue_.size()));
+    counter("batch", "busy_nodes", busy);
+    counter("batch", "utilization", static_cast<double>(busy) / total_nodes_);
+    counter("batch", "fragmentation", allocator_.fragmentation());
+    counter("batch", "running_jobs", static_cast<double>(running_.size()));
+    counter("fault", "down_nodes", allocator_.drained_count());
+    counter("fault", "wasted_work", total_wasted_node_s_);
+    counter("fault", "interrupted_jobs", total_interruptions_);
+    if (pm_) {
+      counter("power", "cluster_watts", power_w);
+      counter("power", "energy_j",
+              energy_.cpu_j + energy_.mem_j + energy_.net_j + energy_.idle_j);
+      counter("power", "capped_jobs", energy_.capped_starts);
+    }
+  }
+
+  void counter(const char* category, const char* name, double value) {
+    rec_->counter(trace::Track::global(), category, name, engine_.now(),
+                  value);
+  }
+
+  /// Progress rate of an attempt: degradation inflates the communication
+  /// share of the runtime, exactly like placement scatter does.
+  double rate_for(const Attempt& a) const {
+    double f = 1.0;  // combined receive-degradation factor, 1 = healthy
+    for (const int n : a.nodes) {
+      for (const double x : degradations_[static_cast<std::size_t>(n)]) {
+        f *= x;
+      }
+    }
+    if (f >= 1.0) return 1.0;
+    const double cf = a.job.profile.comm_fraction;
+    return 1.0 / (1.0 + cf * (1.0 / f - 1.0));
+  }
+
+  void accrue(Attempt& a) const {
+    const double t = now_s();
+    a.eff_done_s = std::min(a.eff_required_s,
+                            a.eff_done_s + a.rate * (t - a.last_update_s));
+    a.last_update_s = t;
+  }
+
+  /// Schedule (or re-schedule after a rate change) the end of an attempt:
+  /// completion when the remaining progress fits the wall-time budget, a
+  /// wall-time kill otherwise. Stale events are voided by the epoch.
+  void schedule_attempt_end(int slot) {
+    Attempt& a = at(slot).attempt;
+    a.epoch = ++next_epoch_;
+    const double t = now_s();
+    const double remaining = (a.eff_required_s - a.eff_done_s) / a.rate;
+    // (start - t) + walltime, not (start + walltime) - t: at t == start the
+    // former is exactly the wall-time request, bit-for-bit.
+    const double until_kill = (a.start_s - t) + a.job.walltime_s;
+    a.killed = remaining > until_kill;
+    engine_.schedule_in(
+        sim::from_seconds(std::max(0.0, a.killed ? until_kill : remaining)),
+        [this, slot, epoch = a.epoch] { end_event(slot, epoch); });
+  }
+
+  /// A job enters the queue: on arrival, or after the requeue backoff.
+  void enqueue(int slot, bool retry) {
+    const Job& job = jobs_[static_cast<std::size_t>(slot)];
+    if (rec_) {
+      const auto track = trace::Track::job(job.id);
+      if (retry) {
+        rec_->instant(track, "fault", "requeue", "", engine_.now());
+      } else {
+        rec_->instant(track, "batch", "submit", job.profile.name,
+                      engine_.now());
+      }
+      rec_->begin(track, "batch", "queued", job.profile.name, engine_.now());
+    }
+    queue_.push(job);
+    try_start();
+  }
+
+  /// Start every job the queue, the free nodes and the power cap allow.
+  void try_start() {
     advance_energy();
     while (true) {
-      const double t = now_s();
-      std::vector<Reservation> reservations;
-      reservations.reserve(running.size());
-      for (const auto& [id, a] : running) {
-        reservations.push_back({id, a.start_s + a.job.walltime_s,
-                                a.job.nodes});
-      }
       const int pos =
-          queue.next_startable(t, allocator.free_nodes(), reservations);
-      if (pos < 0) break;
+          queue_.next_startable(now_s(), allocator_.free_nodes(), running_);
+      if (pos < 0) return;
 
       // Power-aware gate: the queue said the job fits the *nodes*; check it
       // also fits the *watts* before committing the allocation. An empty
       // machine is exempt — a head job that alone exceeds the cap must
       // still run eventually or the queue deadlocks.
-      power::DvfsState dstate = options.dvfs;
+      power::DvfsState dstate = options_.dvfs;
       bool downclocked = false;
-      if (powered && options.power_cap_w > 0.0 &&
-          !(running.empty() && pos == 0)) {
-        const Job& candidate = queue.at(pos);
+      if (pm_ && options_.power_cap_w > 0.0 &&
+          !(running_.empty() && pos == 0)) {
+        const Job& candidate = queue_.at(pos);
         if (!fits_cap(candidate, dstate)) {
-          bool rescued = false;
-          if (options.dvfs_backfill) {
+          if (options_.dvfs_backfill) {
             // Energy-aware backfill: walk the ladder below the configured
             // point and take the first (shallowest) state that fits —
             // deeper states draw strictly less, so the walk is monotone.
             for (const power::DvfsState& s : power::dvfs_states()) {
-              if (s.freq_scale >= dstate.freq_scale) continue;
-              if (fits_cap(candidate, s)) {
+              if (s.freq_scale < dstate.freq_scale && fits_cap(candidate, s)) {
                 dstate = s;
-                rescued = true;
                 downclocked = true;
                 break;
               }
             }
           }
-          if (!rescued) {
+          if (!downclocked) {
             // Deferred, not rejected: re-evaluated when the next completion
             // or repair frees watts.
-            ++energy.capped_starts;
-            break;
+            ++energy_.capped_starts;
+            return;
           }
         }
       }
-
-      const Job job = queue.pop(pos);
-      JobState& st = job_states[job.id];
-      const auto nodes = allocator.allocate(
-          static_cast<std::uint64_t>(job.id), job.nodes, options.placement,
-          placement_seed(options.seed, job.id, st.attempts_started));
-      CTESIM_ENSURES(static_cast<int>(nodes.size()) == job.nodes);
-
-      Attempt a;
-      a.job = job;
-      a.nodes = nodes;
-      a.start_s = t;
-      a.last_update_s = t;
-      a.mean_hops = allocator.mean_pairwise_hops(nodes);
-      a.placement_slowdown = model.slowdown(job, a.mean_hops);
-      a.freq_scale = dstate.freq_scale;
-      a.full_runtime_s = model.runtime(job, a.mean_hops, dstate.freq_scale);
-      a.work_s = (1.0 - st.done_fraction) * a.full_runtime_s;
-      a.ckpt = fault::resolve(options.checkpoint, fs, job.nodes);
-      a.restarting = st.attempts_started > 0;
-      a.eff_required_s =
-          fault::attempt_duration(a.work_s, a.ckpt, a.restarting);
-      a.rate = rate_for(a);
-      if (powered) {
-        a.draw = power::job_draw(
-            model.machine().node, *pm, dstate,
-            model.traffic_bytes_per_node(job), a.full_runtime_s,
-            job.profile.comm_fraction);
-        add_draw(a);
-        if (downclocked) ++energy.downclocked_jobs;
-      }
-      if (!st.ever_started) {
-        st.ever_started = true;
-        st.first_start_s = t;
-      }
-      ++st.attempts_started;
-
-      if (tracing) {
-        const auto track = trace::Track::job(job.id);
-        rec->end(track, engine.now());  // closes the "queued" span
-        rec->begin(track, "batch", "run",
-                   std::string(job.profile.name) + " " +
-                       std::to_string(job.nodes) + " nodes" +
-                       (a.restarting ? " (retry)" : ""),
-                   engine.now());
-      }
-      Attempt& placed = running.emplace(job.id, std::move(a)).first->second;
-      schedule_attempt_end(placed);
-      sample();
+      start_attempt(queue_.pop(pos), dstate, downclocked);
     }
-  };
+  }
+
+  void start_attempt(const Job& job, const power::DvfsState& dstate,
+                     bool downclocked) {
+    const double t = now_s();
+    const int slot = slot_of(job.id);
+    Slot& s = at(slot);
+    Attempt a;
+    a.job = job;
+    a.nodes = allocator_.allocate(
+        static_cast<std::uint64_t>(job.id), job.nodes, options_.placement,
+        placement_seed(options_.seed, job.id, s.record.attempts));
+    CTESIM_ENSURES(static_cast<int>(a.nodes.size()) == job.nodes);
+    a.start_s = t;
+    a.last_update_s = t;
+    a.mean_hops = allocator_.mean_pairwise_hops(a.nodes);
+    a.placement_slowdown = model_.slowdown(job, a.mean_hops);
+    a.freq_scale = dstate.freq_scale;
+    a.full_runtime_s = model_.runtime(job, a.mean_hops, dstate.freq_scale);
+    a.work_s = (1.0 - s.done_fraction) * a.full_runtime_s;
+    a.ckpt = fault::resolve(options_.checkpoint, fs_, job.nodes);
+    a.restarting = s.record.attempts > 0;
+    a.eff_required_s =
+        fault::attempt_duration(a.work_s, a.ckpt, a.restarting);
+    a.rate = rate_for(a);
+    if (pm_) {
+      a.draw = power::job_draw(model_.machine().node, *pm_, dstate,
+                               model_.traffic_bytes_per_node(job),
+                               a.full_runtime_s, job.profile.comm_fraction);
+      shift_draw(a, +1);
+      if (downclocked) ++energy_.downclocked_jobs;
+    }
+    if (s.record.attempts++ == 0) s.record.first_start_s = t;
+
+    if (rec_) {
+      const auto track = trace::Track::job(job.id);
+      rec_->end(track, engine_.now());  // closes the "queued" span
+      rec_->begin(track, "batch", "run",
+                  std::string(job.profile.name) + " " +
+                      std::to_string(job.nodes) + " nodes" +
+                      (a.restarting ? " (retry)" : ""),
+                  engine_.now());
+    }
+    for (const int n : a.nodes) holder_[static_cast<std::size_t>(n)] = slot;
+    running_.push_back({job.id, t + job.walltime_s, job.nodes});
+    s.attempt = std::move(a);
+    schedule_attempt_end(slot);
+    sample();
+  }
+
+  /// An attempt's scheduled end fired: completion or wall-time kill,
+  /// unless a later reschedule (new epoch) or a failure voided it.
+  void end_event(int slot, std::uint64_t epoch) {
+    const Attempt& a = at(slot).attempt;
+    if (a.epoch != epoch) return;
+    advance_energy();
+    const EndReason reason =
+        a.killed ? EndReason::kWalltimeKilled : EndReason::kCompleted;
+    end_attempt(slot, reason);
+    if (a.killed) {
+      CTESIM_WARN << "batch: job " << a.job.id << " wall-time killed at "
+                  << a.job.walltime_s << " s (needed " << a.eff_required_s
+                  << " s, overran its request by "
+                  << 100.0 * (a.eff_required_s / a.job.walltime_s - 1.0)
+                  << "%)";
+    }
+    if (rec_) {
+      rec_->instant(trace::Track::job(a.job.id), "batch",
+                    a.killed ? "killed" : "finish", "", engine_.now());
+    }
+    finalize(slot, a, reason);
+    sample();
+    try_start();
+  }
+
+  /// Close the books on a live attempt — node-seconds, energy, the trace
+  /// "run" span, the cluster draw — and release its nodes. The attempt's
+  /// fields stay readable for finalize().
+  void end_attempt(int slot, EndReason how) {
+    Slot& s = at(slot);
+    Attempt& a = s.attempt;
+    JobRecord& r = s.record;
+    accrue(a);
+    const double elapsed = now_s() - a.start_s;
+    // Per node: a completed attempt's work all counts, a killed one's
+    // none, an interrupted one's up to its last checkpoint.
+    double useful_s = how == EndReason::kCompleted ? a.work_s : 0.0;
+    if (how == EndReason::kNodeFailure) {
+      useful_s = fault::preserved_work(a.eff_done_s, a.work_s, a.ckpt,
+                                       a.restarting);
+      s.done_fraction += useful_s / a.full_runtime_s;
+      ++r.interruptions;
+      ++total_interruptions_;
+    }
+    const double wasted_s =
+        how == EndReason::kCompleted ? 0.0 : elapsed - useful_s;
+    r.busy_node_s += elapsed * a.job.nodes;
+    r.useful_node_s += useful_s * a.job.nodes;
+    r.wasted_node_s += wasted_s * a.job.nodes;
+    total_wasted_node_s_ += wasted_s * a.job.nodes;
+    if (pm_) {
+      const double attempt_j = a.job.nodes * a.draw.total().value() * elapsed;
+      // A killed attempt wastes exactly attempt_j (attempt_j * elapsed /
+      // elapsed need not round back to it); an interrupted one wastes the
+      // share of its time the checkpoint did not preserve.
+      double wasted_j = 0.0;
+      if (how == EndReason::kWalltimeKilled) {
+        wasted_j = attempt_j;
+      } else if (how == EndReason::kNodeFailure && elapsed > 0.0) {
+        wasted_j = attempt_j * wasted_s / elapsed;
+      }
+      r.energy_j += attempt_j;
+      r.wasted_energy_j += wasted_j;
+      energy_.wasted_j += wasted_j;
+      shift_draw(a, -1);
+    }
+    if (rec_) rec_->end(trace::Track::job(a.job.id), engine_.now());  // "run"
+    allocator_.release(static_cast<std::uint64_t>(a.job.id));
+    for (const int n : a.nodes) holder_[static_cast<std::size_t>(n)] = -1;
+    running_.erase(std::find_if(
+        running_.begin(), running_.end(),
+        [id = a.job.id](const Reservation& res) { return res.job_id == id; }));
+    a.epoch = 0;
+  }
+
+  /// The job is done for good: stamp its final attempt onto its record.
+  void finalize(int slot, const Attempt& a, EndReason reason) {
+    JobRecord& r = at(slot).record;
+    r.start_s = a.start_s;
+    r.end_s = now_s();
+    r.alloc_nodes = a.nodes;
+    r.mean_hops = a.mean_hops;
+    r.placement_slowdown = a.placement_slowdown;
+    r.end_reason = reason;
+    r.dvfs_freq_scale = a.freq_scale;
+    ++finalized_;
+  }
+
+  void on_fault(std::size_t index) {
+    const fault::FaultEvent& e = options_.faults->events()[index];
+    if (e.kind == fault::FaultKind::kNodeFail) {
+      on_node_fail(e.node);
+    } else if (e.kind == fault::FaultKind::kNodeRepair) {
+      on_node_repair(e.node);
+    } else {
+      on_degradation(e);
+    }
+  }
 
   /// A node died: interrupt its job (restart from the last checkpoint,
   /// requeue within the retry budget) and drain the node from service.
-  const auto handle_node_fail = [&](int node) {
+  void on_node_fail(int node) {
     advance_energy();
-    const double t = now_s();
-    int victim = -1;
-    for (const auto& [id, a] : running) {
-      if (std::binary_search(a.nodes.begin(), a.nodes.end(), node)) {
-        victim = id;
-        break;
-      }
-    }
+    const int victim = holder_[static_cast<std::size_t>(node)];
     if (victim >= 0) {
-      Attempt& a = running.find(victim)->second;
-      accrue(a);
-      JobState& st = job_states[victim];
-      const double preserved = fault::preserved_work(a.eff_done_s, a.work_s,
-                                                     a.ckpt, a.restarting);
-      const double elapsed = t - a.start_s;
-      st.busy_node_s += elapsed * a.job.nodes;
-      st.useful_node_s += preserved * a.job.nodes;
-      st.wasted_node_s += (elapsed - preserved) * a.job.nodes;
-      total_wasted_node_s += (elapsed - preserved) * a.job.nodes;
-      if (powered) {
-        const double attempt_j =
-            a.job.nodes * a.draw.total().value() * elapsed;
-        st.energy_j += attempt_j;
-        // The checkpoint preserved `preserved` of `elapsed` seconds of
-        // progress; the energy of the rest bought nothing.
-        const double wasted_j =
-            elapsed > 0.0 ? attempt_j * (elapsed - preserved) / elapsed
-                          : 0.0;
-        st.wasted_energy_j += wasted_j;
-        energy.wasted_j += wasted_j;
-        remove_draw(a);
+      end_attempt(victim, EndReason::kNodeFailure);
+      const Slot& s = at(victim);
+      if (rec_) {
+        rec_->instant(trace::Track::job(s.record.job.id), "fault",
+                      "node_failure", "node " + std::to_string(node),
+                      engine_.now());
       }
-      st.done_fraction += preserved / a.full_runtime_s;
-      ++st.interruptions;
-      ++total_interruptions;
-      if (tracing) {
-        const auto track = trace::Track::job(victim);
-        rec->end(track, engine.now());  // closes the "run" span
-        rec->instant(track, "fault", "node_failure",
-                     "node " + std::to_string(node), engine.now());
-      }
-      const Job job = a.job;
-      allocator.release(static_cast<std::uint64_t>(victim));
-      if (st.attempts_started > options.max_retries) {
-        finalize(a, EndReason::kNodeFailure, t);
-        running.erase(victim);
+      if (s.record.attempts > options_.max_retries) {
+        finalize(victim, s.attempt, EndReason::kNodeFailure);
       } else {
-        running.erase(victim);
-        engine.schedule_in(sim::from_seconds(options.requeue_backoff_s),
-                           [&, job] {
-                             if (tracing) {
-                               const auto track = trace::Track::job(job.id);
-                               rec->instant(track, "fault", "requeue", "",
-                                            engine.now());
-                               rec->begin(track, "batch", "queued",
-                                          job.profile.name, engine.now());
-                             }
-                             queue.push(job);
-                             try_start();
-                           });
+        engine_.schedule_in(sim::from_seconds(options_.requeue_backoff_s),
+                            [this, victim] { enqueue(victim, true); });
       }
     }
-    allocator.drain(node);
-    down_nodes.insert(node);
-    if (tracing) {
+    allocator_.drain(node);
+    if (rec_) {
       const auto track = trace::Track::node(node);
-      rec->instant(track, "fault", "fail", "", engine.now());
-      rec->begin(track, "fault", "down", "", engine.now());
+      rec_->instant(track, "fault", "fail", "", engine_.now());
+      rec_->begin(track, "fault", "down", "", engine_.now());
     }
     sample();
-  };
+  }
 
-  const auto handle_node_repair = [&](int node) {
+  void on_node_repair(int node) {
     advance_energy();
-    allocator.return_to_service(node);
-    down_nodes.erase(node);
-    if (tracing) {
+    allocator_.return_to_service(node);
+    if (rec_) {
       const auto track = trace::Track::node(node);
-      rec->end(track, engine.now());  // closes the "down" span
-      rec->instant(track, "fault", "repair", "", engine.now());
+      rec_->end(track, engine_.now());  // closes the "down" span
+      rec_->instant(track, "fault", "repair", "", engine_.now());
     }
     sample();
     try_start();
-  };
+  }
 
-  /// A degradation window opened or closed on `node`: recompute the
+  /// A degradation window opened or closed on a node: recompute the
   /// progress rate of the job holding it (if any) and reschedule its end.
-  const auto handle_degradation = [&](int node, double factor, bool start) {
-    auto& factors = active_degradations[node];
+  void on_degradation(const fault::FaultEvent& e) {
+    const bool start = e.kind == fault::FaultKind::kDegradeStart;
+    auto& factors = degradations_[static_cast<std::size_t>(e.node)];
     if (start) {
-      factors.push_back(factor);
+      factors.push_back(e.factor);
     } else {
-      const auto it = std::find(factors.begin(), factors.end(), factor);
+      const auto it = std::find(factors.begin(), factors.end(), e.factor);
       CTESIM_EXPECTS(it != factors.end());
       factors.erase(it);
     }
-    if (tracing) {
-      rec->instant(trace::Track::node(node), "fault",
-                   start ? "degrade_start" : "degrade_end",
-                   std::to_string(factor), engine.now());
+    if (rec_) {
+      rec_->instant(trace::Track::node(e.node), "fault",
+                    start ? "degrade_start" : "degrade_end",
+                    std::to_string(e.factor), engine_.now());
     }
-    for (auto& [id, a] : running) {
-      if (!std::binary_search(a.nodes.begin(), a.nodes.end(), node)) {
-        continue;
-      }
-      accrue(a);
-      a.rate = rate_for(a);
-      schedule_attempt_end(a);
-      break;
-    }
-  };
+    const int slot = holder_[static_cast<std::size_t>(e.node)];
+    if (slot < 0) return;
+    Attempt& a = at(slot).attempt;
+    accrue(a);
+    a.rate = rate_for(a);
+    schedule_attempt_end(slot);
+  }
 
-  for (const Job& job : jobs) {
-    engine.schedule_at(sim::from_seconds(job.arrival_s), [&, job] {
-      if (tracing) {
+  void finish() {
+    // Jobs still queued when every event has drained can never run: the
+    // failed (and never repaired) part of the machine left too few
+    // in-service nodes. They end as node-failure casualties at the final
+    // time.
+    while (!queue_.empty()) {
+      const Job job = queue_.pop(0);
+      if (rec_) {
         const auto track = trace::Track::job(job.id);
-        rec->instant(track, "batch", "submit", job.profile.name,
-                     engine.now());
-        rec->begin(track, "batch", "queued", job.profile.name, engine.now());
+        rec_->end(track, engine_.now());  // closes the "queued" span
+        rec_->instant(track, "fault", "abandoned", "machine too small",
+                      engine_.now());
       }
-      queue.push(job);
-      try_start();
-    });
-  }
-  if (options.faults) {
-    for (const fault::FaultEvent& e : options.faults->events()) {
-      engine.schedule_at(sim::from_seconds(e.time_s), [&, e] {
-        switch (e.kind) {
-          case fault::FaultKind::kNodeFail:
-            handle_node_fail(e.node);
-            break;
-          case fault::FaultKind::kNodeRepair:
-            handle_node_repair(e.node);
-            break;
-          case fault::FaultKind::kDegradeStart:
-            handle_degradation(e.node, e.factor, true);
-            break;
-          case fault::FaultKind::kDegradeEnd:
-            handle_degradation(e.node, e.factor, false);
-            break;
-        }
-      });
+      Attempt never_placed;
+      never_placed.start_s = now_s();
+      finalize(slot_of(job.id), never_placed, EndReason::kNodeFailure);
     }
-  }
-  engine.run();
-  result.engine_events = engine.events_processed();
-  CTESIM_ENSURES(running.empty());
+    // Close the "down" span of nodes that never came back.
+    for (int n = 0; rec_ && n < total_nodes_; ++n) {
+      if (allocator_.is_drained(n)) {
+        rec_->end(trace::Track::node(n), engine_.now());
+      }
+    }
+    CTESIM_ENSURES(finalized_ == jobs_.size());
 
-  // Jobs still queued when every event has drained can never run: the
-  // failed (and never repaired) part of the machine left too few in-service
-  // nodes. They end as node-failure casualties at the final time.
-  while (!queue.empty()) {
-    const Job job = queue.pop(0);
-    const double t = now_s();
-    if (tracing) {
-      const auto track = trace::Track::job(job.id);
-      rec->end(track, engine.now());  // closes the "queued" span
-      rec->instant(track, "fault", "abandoned", "machine too small",
-                   engine.now());
+    std::vector<JobRecord>& records = result_.records;
+    records.reserve(jobs_.size());
+    double first_arrival = std::numeric_limits<double>::infinity();
+    double last_end = 0.0;
+    for (const auto& [id, slot] : index_) {  // records in job id order
+      JobRecord& r = at(slot).record;
+      first_arrival = std::min(first_arrival, r.job.arrival_s);
+      last_end = std::max(last_end, r.end_s);
+      records.push_back(std::move(r));
     }
-    Attempt a;
-    a.job = job;
-    a.start_s = t;
-    finalize(a, EndReason::kNodeFailure, t);
-  }
-  // Close the "down" span of nodes that never came back.
-  if (tracing) {
-    for (const int node : down_nodes) {
-      rec->end(trace::Track::node(node), engine.now());
+    result_.makespan_s = records.empty() ? 0.0 : last_end - first_arrival;
+    if (pm_) {
+      // Integration stopped at the last event; the machine idles forever
+      // after, so the window is exactly [0, last event].
+      energy_.total_j =
+          energy_.cpu_j + energy_.mem_j + energy_.net_j + energy_.idle_j;
+      result_.has_power = true;
+      result_.energy = energy_;
     }
   }
-  CTESIM_ENSURES(result.records.size() == jobs.size());
 
-  std::sort(result.records.begin(), result.records.end(),
-            [](const JobRecord& a, const JobRecord& b) {
-              return a.job.id < b.job.id;
-            });
-  double first_arrival = 0.0;
-  double last_end = 0.0;
-  for (std::size_t i = 0; i < result.records.size(); ++i) {
-    const JobRecord& r = result.records[i];
-    if (i == 0 || r.job.arrival_s < first_arrival) {
-      first_arrival = r.job.arrival_s;
-    }
-    last_end = std::max(last_end, r.end_s);
-  }
-  result.makespan_s =
-      result.records.empty() ? 0.0 : last_end - first_arrival;
-  if (powered) {
-    // Integration stopped at the last event; the machine idles forever
-    // after, so the window is exactly [0, last event].
-    energy.total_j =
-        energy.cpu_j + energy.mem_j + energy.net_j + energy.idle_j;
-    result.has_power = true;
-    result.energy = energy;
-  }
-  return result;
+  const RuntimeModel& model_;
+  const std::vector<Job>& jobs_;
+  const ClusterOptions& options_;
+  const int total_nodes_ = model_.machine().num_nodes;
+  sim::Engine engine_;
+  sched::Allocator allocator_{model_.topology()};
+  JobQueue queue_{options_.queue, total_nodes_};
+  const io::FilesystemModel fs_ = io::production_filesystem(model_.machine());
+  trace::Recorder* const rec_ =  // nullptr: tracing off
+      options_.recorder && options_.recorder->enabled() ? options_.recorder
+                                                        : nullptr;
+  const power::PowerModel* const pm_ = options_.power;  // nullptr: no energy
+  const double idle_node_w_ =
+      pm_ ? pm_->node_idle(model_.machine().node).value() : 0.0;
+
+  std::vector<Slot> slots_;                 ///< by position in jobs_
+  std::vector<std::pair<int, int>> index_;  ///< (job id, slot), sorted
+  std::vector<int> holder_;                 ///< node -> slot, or -1
+  std::vector<std::vector<double>> degradations_;  ///< node -> open factors
+  std::vector<Reservation> running_;        ///< one per live attempt
+  std::size_t finalized_ = 0;
+  std::uint64_t next_epoch_ = 0;
+  double total_wasted_node_s_ = 0.0;
+  int total_interruptions_ = 0;
+  double cluster_cpu_w_ = 0.0;
+  double cluster_mem_w_ = 0.0;
+  double cluster_net_w_ = 0.0;
+  double last_power_t_ = 0.0;
+  EnergyTotals energy_;
+  ClusterResult result_;
+};
+
+}  // namespace
+
+ClusterResult run_cluster(const RuntimeModel& model,
+                          const std::vector<Job>& jobs,
+                          const ClusterOptions& options) {
+  validate(model, jobs, options);
+  return ClusterSim(model, jobs, options).run();
 }
 
 }  // namespace ctesim::batch

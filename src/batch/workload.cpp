@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <set>
 #include <stdexcept>
+#include <string>
 
 #include "roofline/kernel_library.h"
 #include "util/check.h"
@@ -113,15 +116,33 @@ std::vector<Job> load_trace(const std::string& path) {
                                column);
     }
   }
+  // Cells are untrusted: std::stod accepts nan, inf and 1e300, and casting
+  // those to int (or feeding them to the engine clock) is undefined.
+  const auto number = [&](std::size_t r, const char* column, bool integral) {
+    const double v = reader.number(r, column);
+    if (!std::isfinite(v) ||
+        (integral && (v != std::floor(v) ||
+                      std::abs(v) > std::numeric_limits<int>::max()))) {
+      throw std::runtime_error("batch: trace " + path + " row " +
+                               std::to_string(r + 1) + ": bad " + column +
+                               " '" + reader.cell(r, column) + "'");
+    }
+    return v;
+  };
   std::vector<Job> jobs;
   jobs.reserve(reader.rows());
+  std::set<int> ids;
   for (std::size_t r = 0; r < reader.rows(); ++r) {
     Job job;
-    job.id = static_cast<int>(reader.number(r, "id"));
-    job.arrival_s = reader.number(r, "arrival_s");
-    job.nodes = static_cast<int>(reader.number(r, "nodes"));
-    job.walltime_s = reader.number(r, "walltime_s");
-    job.fixed_runtime_s = reader.number(r, "runtime_s");
+    job.id = static_cast<int>(number(r, "id", true));
+    job.arrival_s = number(r, "arrival_s", false);
+    job.nodes = static_cast<int>(number(r, "nodes", true));
+    job.walltime_s = number(r, "walltime_s", false);
+    job.fixed_runtime_s = number(r, "runtime_s", false);
+    if (!ids.insert(job.id).second) {
+      throw std::runtime_error("batch: trace " + path + " repeats job id " +
+                               std::to_string(job.id));
+    }
     job.profile = profile_by_name(reader.cell(r, "profile"));
     if (job.fixed_runtime_s <= 0.0) {
       throw std::runtime_error("batch: trace rows need runtime_s > 0");

@@ -19,8 +19,8 @@
 
 #include "core/event_queue.h"
 #include "core/task.h"
-#include "core/time.h"
 #include "util/inline_function.h"
+#include "util/time.h"
 
 namespace ctesim::trace {
 class Recorder;

@@ -54,8 +54,8 @@ class FaultTimeline {
   void repair(double time_s, int node);
 
   /// Receive-path degradation window [start_s, end_s) on `node` with
-  /// bandwidth factor `factor` in (0, 1] — the time-varying generalization
-  /// of net::Network::set_recv_degradation. Windows may overlap; factors
+  /// bandwidth factor `factor` in (0, 1] — the batch-runtime counterpart of
+  /// net::Network::add_recv_degradation. Windows may overlap; factors
   /// compose multiplicatively.
   void degrade_recv(double start_s, double end_s, int node, double factor);
 

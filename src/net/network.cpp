@@ -35,13 +35,6 @@ Network::Network(const arch::InterconnectSpec& spec, int num_nodes)
   }
 }
 
-void Network::set_recv_degradation(int node, double factor) {
-  CTESIM_EXPECTS(node >= 0 && node < num_nodes());
-  CTESIM_EXPECTS(factor > 0.0 && factor <= 1.0);
-  recv_degradation_[node] = {
-      {0.0, std::numeric_limits<double>::infinity(), factor}};
-}
-
 void Network::add_recv_degradation(int node, double factor, double start_s,
                                    double end_s) {
   CTESIM_EXPECTS(node >= 0 && node < num_nodes());

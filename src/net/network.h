@@ -40,15 +40,11 @@ class Network {
   const arch::InterconnectSpec& spec() const { return spec_; }
   int num_nodes() const { return topology_->num_nodes(); }
 
-  /// Degrade the receive-side bandwidth of `node` by `factor` (0,1] for
-  /// the whole run — models the weak node arms0b1-11c of Fig. 4, which
-  /// underperforms only as a receiver. Replaces any previous windows on
-  /// the node (the always-active special case of add_recv_degradation).
-  void set_recv_degradation(int node, double factor);
-
   /// Open a receive-side degradation window [start_s, end_s) on `node`
   /// with bandwidth factor `factor` (0,1], evaluated against the time
-  /// passed to transfer(). Omitting `end_s` leaves the window open-ended.
+  /// passed to transfer(). Omitting both times degrades the node for the
+  /// whole run — the weak node arms0b1-11c of Fig. 4, which underperforms
+  /// only as a receiver.
   /// Windows may overlap (factors compose multiplicatively); they stack
   /// with — rather than replace — previous windows on the node.
   void add_recv_degradation(int node, double factor, double start_s = 0.0,

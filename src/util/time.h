@@ -6,8 +6,7 @@
 // Lives in util/ (not core/) because it is the one core concept that the
 // layers *below* the engine also speak: trace/ records event times without
 // depending on the DES engine, which keeps the subsystem include graph a
-// DAG (enforced by ctesim_lint's include-layering pass; core/time.h remains
-// as a forwarding shim for the engine-side spelling).
+// DAG (enforced by ctesim_lint's include-layering pass).
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "arch/configs.h"
@@ -10,7 +13,12 @@
 #include "batch/metrics.h"
 #include "batch/queue.h"
 #include "batch/workload.h"
+#include "fault/mtbf.h"
 #include "power/power_model.h"
+#include "trace/chrome.h"
+#include "trace/recorder.h"
+#include "util/check.h"
+#include "util/hash.h"
 
 namespace ctesim::batch {
 namespace {
@@ -102,6 +110,69 @@ TEST(Workload, TraceRoundTrips) {
                 model.reference_runtime(jobs[i]),
                 1e-6 * model.reference_runtime(jobs[i]));
   }
+}
+
+// Write `rows` under the load_trace header, replay the file, and report
+// whether load_trace rejected it with its usual runtime_error. The file is
+// named after the running test, so parallel ctest processes never share it.
+bool trace_rejected(const std::string& rows) {
+  const std::string path =
+      std::string("test_batch_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
+  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
+    std::fprintf(f, "id,arrival_s,nodes,walltime_s,runtime_s,profile\n%s",
+                 rows.c_str());
+    std::fclose(f);
+  }
+  bool rejected = false;
+  try {
+    load_trace(path);
+  } catch (const std::runtime_error&) {
+    rejected = true;
+  }
+  std::remove(path.c_str());
+  return rejected;
+}
+
+TEST(LoadTrace, AcceptsAWellFormedRow) {
+  EXPECT_FALSE(trace_rejected("7,0,2,100,50,stencil\n8,1,1,100,50,stencil\n"));
+}
+
+TEST(LoadTrace, RejectsNonFiniteCells) {
+  EXPECT_TRUE(trace_rejected("1,nan,2,100,50,stencil\n"));
+  EXPECT_TRUE(trace_rejected("1,0,2,inf,50,stencil\n"));
+  EXPECT_TRUE(trace_rejected("1,0,2,100,inf,stencil\n"));
+  EXPECT_TRUE(trace_rejected("1,0,2,100,-nan,stencil\n"));
+}
+
+TEST(LoadTrace, RejectsIdOrNodesOutsideInt) {
+  EXPECT_TRUE(trace_rejected("1.5,0,2,100,50,stencil\n"));
+  EXPECT_TRUE(trace_rejected("1e300,0,2,100,50,stencil\n"));
+  EXPECT_TRUE(trace_rejected("-3e9,0,2,100,50,stencil\n"));
+  EXPECT_TRUE(trace_rejected("1,0,2.5,100,50,stencil\n"));
+  EXPECT_TRUE(trace_rejected("1,0,1e300,100,50,stencil\n"));
+  EXPECT_TRUE(trace_rejected("1,0,inf,100,50,stencil\n"));
+}
+
+TEST(LoadTrace, RejectsDuplicateIds) {
+  EXPECT_TRUE(trace_rejected("4,0,2,100,50,stencil\n4,5,1,100,50,stencil\n"));
+}
+
+TEST(Cluster, RejectsNonFiniteTimesAndDuplicateIds) {
+  const RuntimeModel model(tiny_machine());
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(run_cluster(model, {fixed_job(0, inf, 1, 100.0, 50.0)}, {}),
+               ContractError);
+  EXPECT_THROW(run_cluster(model, {fixed_job(0, 0.0, 1, inf, 50.0)}, {}),
+               ContractError);
+  EXPECT_THROW(run_cluster(model, {fixed_job(0, 0.0, 1, 100.0, inf)}, {}),
+               ContractError);
+  EXPECT_THROW(run_cluster(model,
+                           {fixed_job(3, 0.0, 1, 100.0, 50.0),
+                            fixed_job(3, 1.0, 1, 100.0, 50.0)},
+                           {}),
+               ContractError);
 }
 
 TEST(RuntimeModel, ScatterSlowsCommunicatingJobsOnly) {
@@ -268,6 +339,213 @@ TEST(Cluster, ContiguousBeatsRandomUnderLoad) {
   const auto scatter = summarize(run_cluster(model, jobs, options), 192);
   EXPECT_LT(compact.mean_bounded_slowdown, scatter.mean_bounded_slowdown);
   EXPECT_LT(compact.mean_hops, scatter.mean_hops);
+}
+
+
+// --- run_cluster goldens ---------------------------------------------------
+// FNV-1a digests of everything run_cluster produces: every JobRecord field,
+// the fragmentation timeline, the energy totals, the engine event count and
+// (when traced) the Chrome trace bytes. Doubles are folded in as %.17g
+// spellings — equal spellings iff equal doubles — so a change to event
+// order, accounting or a floating-point expression shows up here. Update a
+// digest only for an intended change of output.
+
+class Digest {
+ public:
+  void add(double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g;", v);
+    h_ = hash64(buf, h_);
+  }
+  void add(std::uint64_t v) { h_ = hash_combine(h_, v); }
+  void add(int v) {
+    add(static_cast<std::uint64_t>(static_cast<unsigned>(v)));
+  }
+  void add(std::string_view bytes) {
+    add(static_cast<std::uint64_t>(bytes.size()));
+    h_ = hash64(bytes, h_);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = kFnvOffsetBasis;
+};
+
+std::uint64_t digest(const ClusterResult& r, const trace::Recorder* rec) {
+  Digest d;
+  d.add(static_cast<std::uint64_t>(r.records.size()));
+  for (const JobRecord& j : r.records) {
+    d.add(j.job.id);
+    d.add(j.job.arrival_s);
+    d.add(j.job.nodes);
+    d.add(j.job.walltime_s);
+    d.add(j.job.fixed_runtime_s);
+    d.add(std::string_view(j.job.profile.name));
+    d.add(j.start_s);
+    d.add(j.end_s);
+    d.add(static_cast<std::uint64_t>(j.alloc_nodes.size()));
+    for (const int n : j.alloc_nodes) d.add(n);
+    d.add(j.mean_hops);
+    d.add(j.placement_slowdown);
+    d.add(static_cast<int>(j.end_reason));
+    d.add(j.attempts);
+    d.add(j.interruptions);
+    d.add(j.first_start_s);
+    d.add(j.busy_node_s);
+    d.add(j.useful_node_s);
+    d.add(j.wasted_node_s);
+    d.add(j.energy_j);
+    d.add(j.wasted_energy_j);
+    d.add(j.dvfs_freq_scale);
+  }
+  d.add(static_cast<std::uint64_t>(r.frag_timeline.size()));
+  for (const FragSample& s : r.frag_timeline) {
+    d.add(s.time_s);
+    d.add(s.fragmentation);
+    d.add(s.busy_nodes);
+    d.add(s.down_nodes);
+    d.add(s.power_w);
+  }
+  d.add(r.makespan_s);
+  d.add(r.engine_events);
+  d.add(static_cast<int>(r.has_power));
+  const EnergyTotals& e = r.energy;
+  for (const double v : {e.cpu_j, e.mem_j, e.net_j, e.idle_j, e.total_j,
+                         e.wasted_j, e.peak_w}) {
+    d.add(v);
+  }
+  d.add(e.capped_starts);
+  d.add(e.downclocked_jobs);
+  if (rec != nullptr) {
+    std::ostringstream os;
+    trace::write_chrome_trace(*rec, os);
+    d.add(os.str());
+  }
+  return d.value();
+}
+
+std::vector<Job> campaign_jobs(const RuntimeModel& model, int n,
+                               std::uint64_t seed) {
+  WorkloadConfig config;
+  config.num_jobs = n;
+  config.mean_interarrival_s = 15.0;
+  config.burst_fraction = 0.3;
+  return generate(config, model, seed);
+}
+
+// A 4-node scripted incident: degradation windows (overlapping, and one on
+// a node nobody holds), two failures, one repair, checkpoints, one retry.
+//   J0 (2 nodes) is slowed, loses node 0 at 200 s, restarts on {2,3} and
+//      loses node 3 at 300 s: abandoned after its one retry.
+//   J1 (1 node) is slowed on node 1 and completes; J3 (1 node) is
+//      wall-time killed after 12.22 s, a duration for which
+//      attempt_j * elapsed / elapsed does not round back to attempt_j.
+//   J2 needs the whole machine, but node 3 never comes back: abandoned as
+//      "machine too small" when the event queue drains.
+std::vector<Job> incident_jobs() {
+  std::vector<Job> jobs = {
+      fixed_job(0, 0.0, 2, 1000.0, 400.0),
+      fixed_job(1, 0.0, 1, 1000.0, 300.0),
+      fixed_job(2, 10.0, 4, 500.0, 100.0),
+      fixed_job(3, 5.0, 1, 12.22, 100.0),
+  };
+  jobs[0].profile.comm_fraction = 0.5;
+  jobs[1].profile.comm_fraction = 0.3;
+  return jobs;
+}
+
+fault::FaultTimeline incident_faults() {
+  fault::FaultTimeline faults;
+  faults.degrade_recv(50.0, 150.0, 0, 0.5);
+  faults.degrade_recv(100.0, 180.0, 0, 0.8);
+  faults.degrade_recv(120.0, 140.0, 1, 0.7);
+  faults.degrade_recv(20.0, 40.0, 3, 0.6);  // node 3 is idle then
+  faults.fail(200.0, 0);
+  faults.repair(250.0, 0);
+  faults.fail(300.0, 3);
+  return faults;
+}
+
+ClusterOptions incident_options() {
+  ClusterOptions options;
+  options.checkpoint.interval_s = 60.0;
+  options.checkpoint.state_bytes_per_node = 1e9;
+  options.checkpoint.restart_s = 5.0;
+  options.max_retries = 1;
+  return options;
+}
+
+TEST(RunClusterGolden, EasyContiguousPowerCapDvfsBackfill) {
+  const RuntimeModel model(arch::cte_arm());
+  const power::PowerModel pm = power::default_power(model.machine());
+  const auto jobs = campaign_jobs(model, 80, 11);
+  ClusterOptions options;
+  options.queue = QueuePolicy::kEasyBackfill;
+  options.placement = sched::Policy::kContiguous;
+  options.power = &pm;
+  const double active_w =
+      pm.node_active(model.machine().node, power::dvfs_state(0)).value();
+  options.power_cap_w = 0.6 * 192 * active_w;
+  options.dvfs_backfill = true;
+  const ClusterResult r = run_cluster(model, jobs, options);
+  EXPECT_GT(r.energy.capped_starts, 0);
+  EXPECT_GT(r.energy.downclocked_jobs, 0);
+  EXPECT_EQ(digest(r, nullptr), 0xc3cded360a23e94aULL);
+}
+
+TEST(RunClusterGolden, FcfsRandomPlacement) {
+  const RuntimeModel model(arch::cte_arm());
+  const auto jobs = campaign_jobs(model, 80, 12);
+  ClusterOptions options;
+  options.queue = QueuePolicy::kFcfs;
+  options.placement = sched::Policy::kRandom;
+  options.seed = 99;
+  const ClusterResult r = run_cluster(model, jobs, options);
+  EXPECT_EQ(digest(r, nullptr), 0x5aeee0db0cb7611eULL);
+}
+
+TEST(RunClusterGolden, ScriptedFaultsCheckpointsAndAbandonment) {
+  const RuntimeModel model(tiny_machine());
+  const power::PowerModel pm = power::default_power(model.machine());
+  const fault::FaultTimeline faults = incident_faults();
+  ClusterOptions options = incident_options();
+  options.faults = &faults;
+  options.power = &pm;
+  const ClusterResult r = run_cluster(model, incident_jobs(), options);
+  ASSERT_EQ(r.records.size(), 4u);
+  EXPECT_EQ(r.records[0].end_reason, EndReason::kNodeFailure);
+  EXPECT_EQ(r.records[0].attempts, 2);
+  EXPECT_EQ(r.records[0].interruptions, 2);
+  EXPECT_EQ(r.records[1].end_reason, EndReason::kCompleted);
+  EXPECT_EQ(r.records[2].end_reason, EndReason::kNodeFailure);
+  EXPECT_EQ(r.records[2].attempts, 0);
+  EXPECT_EQ(r.records[3].end_reason, EndReason::kWalltimeKilled);
+  EXPECT_EQ(digest(r, nullptr), 0xb76e2f6ad4579a43ULL);
+}
+
+TEST(RunClusterGolden, TracedCampaignWithMtbfFaults) {
+  const RuntimeModel model(arch::cte_arm());
+  const power::PowerModel pm = power::default_power(model.machine());
+  const auto jobs = campaign_jobs(model, 60, 13);
+  fault::FaultModel fm;
+  fm.node_failure.mtbf_s = 6.0 * 3600.0;
+  fm.node_failure.mean_repair_s = 600.0;
+  fm.link_degradation.mtbd_s = 4.0 * 3600.0;
+  fm.link_degradation.mean_duration_s = 300.0;
+  const fault::FaultTimeline faults = fault::generate_timeline(
+      fm, model.machine().num_nodes, 2000.0, 7);
+  trace::Recorder rec;
+  ClusterOptions options;
+  options.faults = &faults;
+  options.power = &pm;
+  options.checkpoint.interval_s = 120.0;
+  options.checkpoint.state_bytes_per_node = 4e9;
+  options.recorder = &rec;
+  const ClusterResult r = run_cluster(model, jobs, options);
+  int interrupted = 0;
+  for (const JobRecord& j : r.records) interrupted += j.interruptions;
+  EXPECT_GT(interrupted, 0);
+  EXPECT_EQ(digest(r, &rec), 0x56478c5db530284bULL);
 }
 
 }  // namespace

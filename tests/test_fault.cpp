@@ -152,17 +152,18 @@ TEST(NetworkWindows, OverlappingWindowsStackMultiplicatively) {
               0.5 * 0.8 * clean, 1e-6);
 }
 
-TEST(NetworkWindows, LegacySetterIsAlwaysActive) {
+TEST(NetworkWindows, OpenEndedWindowIsAlwaysActive) {
   const auto machine = tiny_machine();
   net::Network network(machine.interconnect, machine.num_nodes);
   const std::uint64_t bytes = 1 << 20;
   const double clean = network.transfer(1, 0, bytes).bandwidth;
-  network.set_recv_degradation(0, 0.25);
+  network.add_recv_degradation(0, 0.25);
   EXPECT_NEAR(network.transfer(1, 0, bytes).bandwidth, 0.25 * clean, 1e-6);
   EXPECT_NEAR(network.transfer(1, 0, bytes, 1e9).bandwidth, 0.25 * clean,
               1e-6);
-  // The setter replaces any windows (old semantics preserved).
-  network.set_recv_degradation(0, 1.0);
+  // Windows stack; clearing the faults restores the healthy node.
+  network.clear_faults();
+  network.add_recv_degradation(0, 1.0);
   EXPECT_NEAR(network.transfer(1, 0, bytes, 50.0).bandwidth, clean, 1e-6);
 }
 

@@ -114,7 +114,7 @@ TEST(Integration, WeakNodeSlowsApplicationsPlacedOnIt) {
     options.network_jitter = 0.0;
     mpi::World world(std::move(options),
                      mpi::Placement::per_node(arch::cte_arm().node, 2));
-    if (inject) world.network().set_recv_degradation(1, 0.1);
+    if (inject) world.network().add_recv_degradation(1, 0.1);
     return world.run([](mpi::Rank& r) -> sim::Task<> {
       if (r.id() == 0) {
         co_await r.send(1, 8 << 20);

@@ -132,7 +132,7 @@ TEST(Fault, ReceiverDegradationIsAsymmetric) {
   net.set_jitter(0.0);
   const int weak = arch::calib::kWeakNodeIndex;
   const auto before = net.transfer(0, weak, 1 << 20);
-  net.set_recv_degradation(weak, arch::calib::kWeakNodeRecvFactor);
+  net.add_recv_degradation(weak, arch::calib::kWeakNodeRecvFactor);
   const auto as_receiver = net.transfer(0, weak, 1 << 20);
   const auto as_sender = net.transfer(weak, 0, 1 << 20);
   // Receiving into the weak node is slow; sending from it is unaffected —
